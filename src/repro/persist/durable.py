@@ -327,8 +327,13 @@ class DurableServer:
         # subscribe() reads it for the redelivery backlog.
         self.outbox = RecordLog(self.directory / OUTBOX_FILE, sync=sync)
         self._pending_lock = threading.Lock()
+        # One trigger group's activations carry the same OLD/NEW text, so
+        # a parse cache turns a statement's N activations into 2 parses
+        # (bounded by NODE_CACHE_LIMIT inside activation_from_record).
+        node_cache: dict[str, Any] = {}
         self._pending: list[Activation] = [
-            activation_from_record(record) for record in self.outbox.replay()
+            activation_from_record(record, node_cache=node_cache)
+            for record in self.outbox.replay()
         ]
         if self.outbox.torn_tail:
             self.outbox.trim()

@@ -14,10 +14,21 @@ and the outbox all share one vocabulary:
   SQL triggers, groups, and constants tables from these at recovery;
 * activations ↔ scalars plus the OLD/NEW nodes serialized as XML text
   (re-parsed on redelivery).
+
+Node text is computed once per node: every consumer of an activation
+record — the outbox append, the snapshot-time outbox rewrite, the TCP frame
+cache and the WebSocket frame cache — reaches the OLD/NEW text through
+:func:`activation_to_record`, which memoizes it by node identity.  One
+trigger group shares one (OLD_NODE, NEW_NODE) pair across all its satisfied
+triggers (Section 5 of the paper), so a statement renders each distinct
+node once however many activations and subscribers it has.  This relies
+on the delivery contract: delivered OLD_NODE/NEW_NODE are read-only
+snapshots, and actions and subscribers must not mutate them.
 """
 
 from __future__ import annotations
 
+import threading
 from typing import Any, Iterable, MutableMapping, Sequence
 
 from repro.core.trigger import TriggerSpec
@@ -26,6 +37,7 @@ from repro.relational.schema import Column, ForeignKey, TableSchema, UniqueConst
 from repro.relational.types import DataType
 from repro.relational.triggers import TriggerEvent
 from repro.serving.subscribers import Activation
+from repro.xmlmodel.node import XmlNode
 from repro.xmlmodel.parse import parse_xml
 from repro.xmlmodel.serialize import serialize
 
@@ -130,8 +142,39 @@ def spec_from_record(record: dict) -> TriggerSpec:
 # ------------------------------------------------------------------ activations
 
 
+#: Bound on a node memo: the encode-side text memo below, and a
+#: caller-supplied parse cache (see ``activation_from_record``).
+NODE_CACHE_LIMIT = 1024
+
+# id(node) -> (node, XML text).  The entry pins its node, so an id() is
+# never reused while cached; FIFO-trimmed to NODE_CACHE_LIMIT.
+_NODE_TEXT: dict[int, tuple[XmlNode, str]] = {}
+_NODE_TEXT_LOCK = threading.Lock()
+
+
+def _node_text(node: XmlNode | None) -> str | None:
+    """``serialize(node)``, rendered at most once per cached node.
+
+    Shard workers (the outbox append) and front-end loop threads (the frame
+    caches) encode the same nodes, so the lookup, the render and the trim
+    all happen under one lock.  A miss calls ``serialize`` through this
+    module's global, so a wrapper installed on it sees every real render.
+    """
+    if node is None:
+        return None
+    with _NODE_TEXT_LOCK:
+        entry = _NODE_TEXT.get(id(node))
+        if entry is not None and entry[0] is node:
+            return entry[1]
+        text = serialize(node)
+        if len(_NODE_TEXT) >= NODE_CACHE_LIMIT:
+            _NODE_TEXT.pop(next(iter(_NODE_TEXT)))
+        _NODE_TEXT[id(node)] = (node, text)
+        return text
+
+
 def activation_to_record(activation: Activation) -> dict:
-    """Serialize an activation; OLD/NEW nodes become XML text."""
+    """Serialize an activation; OLD/NEW nodes become (memoized) XML text."""
     return {
         "shard": activation.shard,
         "sequence": activation.sequence,
@@ -140,13 +183,9 @@ def activation_to_record(activation: Activation) -> dict:
         "path": list(activation.path),
         "event": activation.event.value,
         "key": list(activation.key),
-        "old": serialize(activation.old_node) if activation.old_node is not None else None,
-        "new": serialize(activation.new_node) if activation.new_node is not None else None,
+        "old": _node_text(activation.old_node),
+        "new": _node_text(activation.new_node),
     }
-
-
-#: Bound on a caller-supplied node cache (see ``activation_from_record``).
-NODE_CACHE_LIMIT = 1024
 
 
 def _parse_node(source: str, cache: MutableMapping[str, Any] | None):

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import PersistenceError
-from repro.persist import DurableServer
+from repro.persist import DurableServer, records
 from repro.relational import Column, DataType, ForeignKey, TableSchema
 from repro.relational.dml import UpdateStatement
 from repro.xqgm.views import catalog_view
@@ -259,4 +259,31 @@ def test_torn_outbox_tail_is_ignored(tmp_path):
     recovered = open_server(tmp_path)
     inbox = recovered.subscribe("inbox", capacity=64)
     assert len(inbox.drain()) == 1
+    recovered.close()
+
+
+def test_recovery_parses_each_distinct_node_once(tmp_path, monkeypatch):
+    """N activations of one trigger group carry one (OLD, NEW) text pair;
+    reopening must parse that pair twice, not 2N times, and redeliver
+    activations that share the parsed nodes."""
+    fired = 6
+    server = open_server(tmp_path)
+    populate(server)
+    for index in range(2, fired + 1):
+        server.ensure_trigger(WATCH_ALL.replace("TRIGGER W ", f"TRIGGER W{index} "))
+    server.subscribe("inbox", capacity=64)
+    with server:
+        server.execute(UpdateStatement("vendor", {"price": 10.0}, keys=[("Amazon", "P1")]))
+    assert len(server._pending) == fired
+
+    parsed = []
+    real = records.parse_xml
+    monkeypatch.setattr(
+        records, "parse_xml", lambda source: parsed.append(source) or real(source)
+    )
+    recovered = open_server(tmp_path)
+    assert len(parsed) == 2
+    assert len({id(a.new_node) for a in recovered._pending}) == 1
+    inbox = recovered.subscribe("inbox", capacity=64)
+    assert len(inbox.drain()) == fired
     recovered.close()

@@ -7,8 +7,8 @@ Covers the three scripts the workflow leans on:
   report written either way, and the build failed either way;
 * ``tools/check_bench_regression.py`` — baseline entries with a renamed
   headline metric must be *warned about by name*, never silently skipped;
-* ``tools/ci_paths.py`` — diff classification for the docs and web-smoke
-  jobs, including the comment-only-src-change skip.
+* ``tools/ci_paths.py`` — diff classification for the docs, web-smoke and
+  perfbench-smoke jobs, including the comment-only-src-change skip.
 """
 
 from __future__ import annotations
@@ -260,27 +260,50 @@ class TestCiPathsClassification:
         (diff_repo / "src/repro/serving/gateway.py").write_text(
             "def serve():\n    return 99\n"
         )
-        assert classify_at(diff_repo) == {"docs": "true", "web": "true"}
+        assert classify_at(diff_repo) == {
+            "docs": "true", "perfbench": "true", "web": "true"
+        }
 
     def test_comment_only_serving_change_skips_both(self, diff_repo):
         (diff_repo / "src/repro/serving/gateway.py").write_text(
             "# a comment\ndef serve():\n    return 1\n"
         )
-        assert classify_at(diff_repo) == {"docs": "false", "web": "false"}
+        assert classify_at(diff_repo) == {
+            "docs": "false", "perfbench": "false", "web": "false"
+        }
 
     def test_non_serving_src_change_skips_web(self, diff_repo):
         (diff_repo / "src/repro/xqgm/eval.py").write_text(
             "def evaluate():\n    return 3\n"
         )
-        assert classify_at(diff_repo) == {"docs": "true", "web": "false"}
+        assert classify_at(diff_repo) == {
+            "docs": "true", "perfbench": "true", "web": "false"
+        }
 
     def test_test_churn_skips_both(self, diff_repo):
         (diff_repo / "tests/test_x.py").write_text(
             "def test_x():\n    assert True\n"
         )
-        assert classify_at(diff_repo) == {"docs": "false", "web": "false"}
+        assert classify_at(diff_repo) == {
+            "docs": "false", "perfbench": "false", "web": "false"
+        }
 
     def test_web_example_change_triggers_web(self, diff_repo):
         (diff_repo / "examples").mkdir()
         (diff_repo / "examples/web_subscribers.py").write_text("print('hi')\n")
-        assert classify_at(diff_repo) == {"docs": "true", "web": "true"}
+        assert classify_at(diff_repo) == {
+            "docs": "true", "perfbench": "false", "web": "true"
+        }
+
+    def test_perfbench_change_triggers_only_perfbench(self, diff_repo):
+        (diff_repo / "perfbench").mkdir()
+        (diff_repo / "perfbench/run.py").write_text("print('hi')\n")
+        assert classify_at(diff_repo) == {
+            "docs": "false", "perfbench": "true", "web": "false"
+        }
+
+    def test_benchmark_manifest_change_triggers_perfbench(self, diff_repo):
+        (diff_repo / "BENCHMARK.json").write_text("{}\n")
+        assert classify_at(diff_repo) == {
+            "docs": "false", "perfbench": "true", "web": "false"
+        }

@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""Decide which CI jobs a diff actually needs — the docs and web-smoke jobs.
+"""Decide which CI jobs a diff actually needs — docs, web-smoke, perfbench.
 
 The docs job executes every Python block in ``README.md`` and ``docs/*.md``
 against the live API, so it must run whenever the docs themselves change
@@ -17,14 +17,17 @@ Anything that is not a ``src`` Python file is classified by path alone:
 docs / README / examples / the checker itself always need the docs job;
 test and benchmark churn never does.  The web-smoke job cares only about
 the gateway's dependency cone: ``src/repro/serving/``, ``src/repro/persist/``,
-and its own example script.
+and its own example script.  The perfbench smoke runs every workload of the
+end-to-end benchmark against its oracles, so any semantic ``src`` change
+needs it, as does any change under ``perfbench/`` or to ``BENCHMARK.json``
+(which ``perfbench/run.py`` checks its metric names against).
 
 Usage (from CI)::
 
     python tools/ci_paths.py --base <sha> --head <sha>
 
-Prints ``docs=true|false`` and ``web=true|false`` and appends the same
-lines to ``$GITHUB_OUTPUT`` when set.  Any git/parse error makes every
+Prints ``docs=``, ``perfbench=`` and ``web=true|false`` and appends the
+same lines to ``$GITHUB_OUTPUT`` when set.  Any git/parse error makes every
 answer ``true`` — the jobs run when in doubt.
 """
 
@@ -50,6 +53,9 @@ _WEB_PATHS = (
     "src/repro/persist/",
     "examples/web_subscribers.py",
 )
+
+#: Non-``src`` paths whose changes always require the perfbench smoke.
+_PERFBENCH_PATHS = ("perfbench/", "BENCHMARK.json")
 
 
 def _git(*args: str) -> str:
@@ -86,15 +92,16 @@ def _semantically_changed(base: str, head: str, path: str) -> bool:
 
 
 def classify(base: str, head: str) -> dict[str, bool]:
-    """Which skippable jobs the ``base...head`` diff needs: docs, web."""
+    """Which skippable jobs the ``base...head`` diff needs: docs, perfbench, web."""
     changed = [
         line
         for line in _git("diff", "--name-only", f"{base}...{head}").splitlines()
         if line.strip()
     ]
     docs = False
+    perfbench = False
     web = False
-    # Cache AST comparisons: a serving-layer file feeds both decisions.
+    # Cache AST comparisons: one src file can feed every decision.
     semantic: dict[str, bool] = {}
 
     def changed_semantically(path: str) -> bool:
@@ -103,6 +110,11 @@ def classify(base: str, head: str) -> dict[str, bool]:
         return semantic[path]
 
     for path in changed:
+        if not perfbench:
+            if path.startswith(_PERFBENCH_PATHS):
+                perfbench = True
+            elif path.startswith("src/"):
+                perfbench = changed_semantically(path)
         if not web and path.startswith(_WEB_PATHS):
             web = (
                 changed_semantically(path)
@@ -120,7 +132,7 @@ def classify(base: str, head: str) -> dict[str, bool]:
             pass
         elif changed_semantically(path):
             docs = True
-    return {"docs": docs, "web": web}
+    return {"docs": docs, "perfbench": perfbench, "web": web}
 
 
 def docs_needed(base: str, head: str) -> bool:
@@ -136,8 +148,8 @@ def main(argv: list[str]) -> int:
     try:
         outputs = classify(args.base, args.head)
     except Exception as error:  # noqa: BLE001 - any failure means "run the jobs"
-        print(f"ci_paths: {error} — defaulting to docs=web=true", file=sys.stderr)
-        outputs = {"docs": True, "web": True}
+        print(f"ci_paths: {error} — defaulting every job to true", file=sys.stderr)
+        outputs = {"docs": True, "perfbench": True, "web": True}
     lines = [
         f"{job}={'true' if needed else 'false'}"
         for job, needed in sorted(outputs.items())
